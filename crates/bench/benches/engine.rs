@@ -40,32 +40,6 @@ fn bench(c: &mut Criterion) {
     g.bench_function("MatchJoin_par4", |b| {
         b.iter(|| std::hint::black_box(par_match_join(&s.query, &sel.plan, &s.ext, 4).unwrap()))
     });
-    // Intra-edge (chunked) granularity at 4 workers: (edge, chunk) work
-    // units instead of one unit per edge — the series that separates from
-    // `par4` when cores outnumber the query's edges.
-    g.bench_function("MatchJoin_par4_chunked", |b| {
-        use gpv_core::{par_match_join_granular, ParGranularity};
-        let max_edge = sel
-            .plan
-            .lambda
-            .iter()
-            .filter_map(|entries| {
-                entries
-                    .iter()
-                    .map(|r| s.ext.edge_set(r.view, r.edge).len())
-                    .min()
-            })
-            .max()
-            .unwrap_or(1);
-        let granularity = ParGranularity::Chunked {
-            chunk_pairs: (max_edge / 4).max(1),
-        };
-        b.iter(|| {
-            std::hint::black_box(
-                par_match_join_granular(&s.query, &sel.plan, &s.ext, 4, granularity).unwrap(),
-            )
-        })
-    });
     g.bench_function("plan_and_execute", |b| {
         b.iter(|| {
             let plan = engine.plan(&s.query);

@@ -925,14 +925,8 @@ pub fn fig8l(scale: Scale, seed: u64) -> ExperimentResult {
 /// [`CostModel::calibrate`](gpv_core::CostModel::calibrate) re-fits the
 /// weights from this row's recorded executions — the `est_err_*` series
 /// are dimensionless ratios, and calibration must drive the error down.
-///
-/// **Granularity series.** `MatchJoin_par4_chunked` times the intra-edge
-/// (chunked) executor at 4 workers, and `granularity_chunk_pairs` records
-/// the chunk size the cost model would pick at `auto_threads()` for this
-/// row's per-edge pair counts (`0` = per-edge granularity; on a 1-core
-/// host it is always 0 — the [`HostInfo`] on the result says so).
 pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
-    use gpv_core::{par_match_join, par_match_join_granular, ParGranularity};
+    use gpv_core::par_match_join;
     let queries: Vec<Pattern> = (0..3)
         .map(|i| random_pattern(4, 6, &DEFAULT_ALPHABET, PatternShape::Any, seed + i))
         .collect();
@@ -947,10 +941,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
         let mut engine = QueryEngine::materialize(views.clone(), &g);
         engine.set_config(figure_config(SelectionMode::Minimum));
         let (mut t_plan, mut t_seq, mut t_auto, mut t_par2, mut t_par4) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        let mut t_par4c = 0.0;
-        // The granularity the cost model picks for this row's workload at
-        // the host's auto thread count (0 = per-edge).
-        let mut chunk_chosen = 0.0f64;
         for q in &queries {
             t_plan += secs(|| {
                 std::hint::black_box(engine.plan(q));
@@ -968,13 +958,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             let gpv_core::QueryPlan::ViewsOnly(vp) = &plan else {
                 unreachable!("checked above");
             };
-            let per_edge = engine.per_edge_pairs(&vp.sources);
-            if let ParGranularity::Chunked { chunk_pairs } = engine
-                .cost_model()
-                .parallel_granularity(&per_edge, host.auto_threads)
-            {
-                chunk_chosen = chunk_chosen.max(chunk_pairs as f64);
-            }
             t_auto += secs(|| {
                 std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 0).unwrap());
             });
@@ -983,22 +966,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
             });
             t_par4 += secs(|| {
                 std::hint::black_box(par_match_join(q, &vp.plan, engine.extensions(), 4).unwrap());
-            });
-            // Intra-edge (chunked) executor: the largest per-edge set split
-            // four ways (floored at 1 pair so tiny rows still exercise the
-            // chunked code path).
-            let chunk = (per_edge.iter().copied().max().unwrap_or(1) as usize / 4).max(1);
-            t_par4c += secs(|| {
-                std::hint::black_box(
-                    par_match_join_granular(
-                        q,
-                        &vp.plan,
-                        engine.extensions(),
-                        4,
-                        ParGranularity::Chunked { chunk_pairs: chunk },
-                    )
-                    .unwrap(),
-                );
             });
         }
         // Feed the log some direct (graph-scan) executions too, via an
@@ -1123,8 +1090,6 @@ pub fn engine_experiment(scale: Scale, seed: u64) -> ExperimentResult {
                 ("MatchJoin_par_auto".into(), t_auto / c),
                 ("MatchJoin_par2".into(), t_par2 / c),
                 ("MatchJoin_par4".into(), t_par4 / c),
-                ("MatchJoin_par4_chunked".into(), t_par4c / c),
-                ("granularity_chunk_pairs".into(), chunk_chosen),
                 ("est_err_default".into(), est_err_default),
                 ("est_err_calibrated".into(), est_err_calibrated),
                 ("compact_scan".into(), t_flat_scan),
@@ -1633,9 +1598,9 @@ mod tests {
     }
 
     /// The perf-tracking experiments must be self-describing: host core
-    /// count + auto thread count on the result, chunked-executor timing and
-    /// the chosen granularity in every row — so 1-core container numbers
-    /// cannot be misread as scaling results.
+    /// count + auto thread count on the result, sequential and parallel
+    /// executor timings in every row — so 1-core container numbers cannot
+    /// be misread as scaling results.
     #[test]
     fn perf_experiments_record_host_metadata() {
         let r = engine_experiment(tiny(), 42);
@@ -1643,7 +1608,7 @@ mod tests {
         assert!(host.cores >= 1);
         assert!(host.auto_threads >= 1);
         for row in &r.rows {
-            for series in ["MatchJoin_par4_chunked", "granularity_chunk_pairs"] {
+            for series in ["MatchJoin_seq", "MatchJoin_par4"] {
                 assert!(
                     row.series.iter().any(|(n, _)| n == series),
                     "row {} missing {series}",

@@ -51,28 +51,6 @@ pub fn bmatch_join_threaded(
     strategy: JoinStrategy,
     threads: usize,
 ) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
-    bmatch_join_exec(
-        qb,
-        plan,
-        ext,
-        strategy,
-        threads,
-        crate::plan::ParGranularity::PerEdge,
-    )
-}
-
-/// The full-control entry point behind [`bmatch_join_threaded`]: an
-/// explicit fan-out granularity for [`JoinStrategy::Parallel`] (the engine
-/// threads its plan's [`ParGranularity`](crate::plan::ParGranularity)
-/// through here; ignored by the sequential strategies).
-pub(crate) fn bmatch_join_exec(
-    qb: &BoundedPattern,
-    plan: &ContainmentPlan,
-    ext: &BoundedViewExtensions,
-    strategy: JoinStrategy,
-    threads: usize,
-    granularity: crate::plan::ParGranularity,
-) -> Result<(BoundedMatchResult, JoinStats), JoinError> {
     let q = qb.pattern();
     if q.edge_count() == 0 {
         return Err(JoinError::NoEdges);
@@ -141,7 +119,7 @@ pub(crate) fn bmatch_join_exec(
             } else {
                 threads
             };
-            crate::parallel::par_ranked_fixpoint_with(q, merged, &mut stats, threads, granularity)?
+            crate::parallel::par_ranked_fixpoint(q, merged, &mut stats, threads)?
         }
     };
 

@@ -77,8 +77,8 @@ pub struct DifferentialCase<'a> {
     pub deltas: &'a [EdgeDelta],
     /// Store shard count.
     pub shards: usize,
-    /// Engine configuration under test (executor, granularity, selection
-    /// mode, cost weights, threads).
+    /// Engine configuration under test (executor, selection mode, cost
+    /// weights, threads).
     pub engine: EngineConfig,
     /// Service configuration under test (plan/result caches, recalibration
     /// cadence); its embedded engine config is what `serve_batch` uses.

@@ -152,20 +152,7 @@ pub fn match_join_union_with(
     ext: &ViewExtensions,
     strategy: JoinStrategy,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
-    // Under the parallel strategy the per-edge sort/dedup of the union
-    // itself fans across workers (chunk-sort + k-way merge — identical
-    // output, see `parallel::par_sort_dedup`).
-    let merged = if strategy == JoinStrategy::Parallel {
-        crate::parallel::par_merge_step_union(
-            q,
-            plan,
-            ext,
-            crate::parallel::auto_threads(),
-            crate::cost::CostModel::MIN_CHUNK_PAIRS,
-        )?
-    } else {
-        merge_step_union(q, plan, ext)?
-    };
+    let merged = merge_step_union(q, plan, ext)?;
     run_fixpoint(q, merged, strategy)
 }
 
@@ -345,8 +332,8 @@ pub(crate) struct EdgeCsr {
 
 /// Dense-id compaction over every node mentioned in the merged sets (first
 /// occurrence order, hence deterministic).
-pub(crate) fn compact_index<S: std::ops::Deref<Target = [(NodeId, NodeId)]>>(
-    merged: &[S],
+pub(crate) fn compact_index(
+    merged: &[Cow<'_, [(NodeId, NodeId)]>],
 ) -> (HashMap<NodeId, u32>, Vec<NodeId>) {
     let mut index: HashMap<NodeId, u32> = HashMap::new();
     for set in merged {

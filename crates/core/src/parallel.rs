@@ -4,44 +4,31 @@
 //! per-pattern-edge and independent: compacting each merged match set into
 //! CSR form, and computing initial support counters. This module fans those
 //! phases across OS threads (`std::thread::scope` — the build environment
-//! vendors no `rayon`). The drain itself runs in *rank waves*: each wave
-//! removes the whole lowest-rank bucket up front, gathers the support hits
-//! of every removed candidate in parallel (a read-only scan of the reverse
-//! CSRs), then applies the decrements sequentially in fixed wave order —
-//! so heavy pruning no longer serializes on the last stage, and the result
-//! stays bit-for-bit identical to the sequential drain (the worklist
-//! closure is confluent; see `par_drain_and_extract`).
+//! vendors no `rayon`), one work unit per pattern edge, so the speedup of
+//! these stages is capped at `|Eq|`. The drain itself runs in *rank waves*:
+//! each wave removes the whole lowest-rank bucket up front, gathers the
+//! support hits of every removed candidate in parallel (a read-only scan of
+//! the reverse CSRs), then applies the decrements sequentially in fixed
+//! wave order — so heavy pruning no longer serializes on the last stage,
+//! and the result stays bit-for-bit identical to the sequential drain (the
+//! worklist closure is confluent; see `par_drain_and_extract`).
 //!
-//! Two fan-out granularities ([`ParGranularity`]):
-//!
-//! * **per-edge** — one work unit per pattern edge. Speedup ceiling is
-//!   `|Eq|`: a 2-edge query over a 10M-pair merge uses at most 2 cores;
-//! * **chunked** — each edge's pair set is split into fixed, index-aligned
-//!   chunks and *(edge, chunk)* units fan across the workers: a two-pass
-//!   chunked CSR build (per-chunk counts → sequential prefix stitch →
-//!   parallel scatter), ranged `edge_support` over slices of the dense
-//!   node domain with a deterministic counter merge, and a chunk-sort +
-//!   k-way-merge for the union merge's per-edge sort/dedup.
-//!
-//! Determinism: work-unit boundaries are fixed by index — never by timing —
-//! workers write results into slots owned by their unit, and every merge of
+//! Determinism: work units are fixed by index — never by timing — workers
+//! write results into slots owned by their unit, and every merge of
 //! per-unit results runs in unit order, so the output is bit-for-bit
 //! identical to [`JoinStrategy::RankedBottomUp`](crate::matchjoin::JoinStrategy)
-//! regardless of thread interleaving, thread count, or chunk size (the
-//! seeded proptests in `tests/engine.rs` sweep all three). With
-//! `threads == 1` every stage runs inline with no spawn overhead.
+//! regardless of thread interleaving or thread count (the seeded proptests
+//! in `tests/engine.rs` sweep thread counts). With `threads == 1` every
+//! stage runs inline with no spawn overhead.
 
 use crate::containment::ContainmentPlan;
 use crate::matchjoin::{self, merge_step, EdgeCsr, JoinError, JoinStats, MergedSets};
-use crate::plan::ParGranularity;
 use crate::view::ViewExtensions;
 use gpv_graph::{BitSet, NodeId};
 use gpv_matching::result::MatchResult;
 use gpv_pattern::{Pattern, PatternEdgeId, PatternNodeId};
-use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default worker count: the machine's available parallelism, probed once
@@ -150,33 +137,17 @@ pub fn par_match_join(
     threads: usize,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let merged = merge_step(q, plan, ext)?;
-    par_fixpoint(q, merged, threads, ParGranularity::PerEdge)
-}
-
-/// Like [`par_match_join`] with an explicit fan-out granularity —
-/// [`ParGranularity::Chunked`] breaks the per-edge `|Eq|` speedup ceiling
-/// by splitting each edge's pair set across workers. Output is identical
-/// across all granularities, thread counts, and chunk sizes.
-pub fn par_match_join_granular(
-    q: &Pattern,
-    plan: &ContainmentPlan,
-    ext: &ViewExtensions,
-    threads: usize,
-    granularity: ParGranularity,
-) -> Result<(MatchResult, JoinStats), JoinError> {
-    let merged = merge_step(q, plan, ext)?;
-    par_fixpoint(q, merged, threads, granularity)
+    par_fixpoint(q, merged, threads)
 }
 
 /// The parallel executor over caller-supplied merged sets (e.g. built by
 /// the [`EdgeSource`](crate::plan::EdgeSource)-honoring merge): fans the
-/// build/support phases across `threads` workers (`0` = auto) at the given
-/// granularity, then runs the sequential drain.
+/// build/support phases across `threads` workers (`0` = auto), then runs
+/// the rank-wave drain.
 pub(crate) fn par_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     threads: usize,
-    granularity: ParGranularity,
 ) -> Result<(MatchResult, JoinStats), JoinError> {
     let threads = if threads == 0 {
         auto_threads()
@@ -187,7 +158,7 @@ pub(crate) fn par_fixpoint(
         merged_pairs: merged.iter().map(|s| s.len() as u64).sum(),
         ..JoinStats::default()
     };
-    let sets = par_ranked_fixpoint_with(q, merged, &mut stats, threads, granularity)?;
+    let sets = par_ranked_fixpoint(q, merged, &mut stats, threads)?;
     Ok((matchjoin::assemble(q, sets), stats))
 }
 
@@ -195,28 +166,16 @@ pub(crate) fn par_fixpoint(
 /// panic.
 pub(crate) type FixpointOutcome = Result<Option<Vec<Vec<(NodeId, NodeId)>>>, JoinError>;
 
-/// The ranked fixpoint with parallel build/support phases, fanning one
-/// work unit per pattern edge. Kept as the [`ParGranularity::PerEdge`]
-/// backend of [`par_ranked_fixpoint_with`].
+/// The ranked fixpoint with parallel build/support phases, one work unit
+/// per pattern edge. Semantically identical to
+/// [`matchjoin::ranked_fixpoint`]; per-edge stage results merge in fixed
+/// edge order. `Err` only on a caught worker panic
+/// ([`JoinError::WorkerPanicked`] with the failing edge index).
 pub(crate) fn par_ranked_fixpoint(
     q: &Pattern,
     merged: MergedSets<'_>,
     stats: &mut JoinStats,
     threads: usize,
-) -> FixpointOutcome {
-    par_ranked_fixpoint_with(q, merged, stats, threads, ParGranularity::PerEdge)
-}
-
-/// The ranked fixpoint with parallel build/support phases. Semantically
-/// identical to [`matchjoin::ranked_fixpoint`]; per-unit stage results
-/// merge in fixed unit order. `Err` only on a caught worker panic
-/// ([`JoinError::WorkerPanicked`] with the failing edge index).
-pub(crate) fn par_ranked_fixpoint_with(
-    q: &Pattern,
-    merged: MergedSets<'_>,
-    stats: &mut JoinStats,
-    threads: usize,
-    granularity: ParGranularity,
 ) -> FixpointOutcome {
     if threads <= 1 {
         // No spare workers: take the sequential path exactly (identical
@@ -229,17 +188,11 @@ pub(crate) fn par_ranked_fixpoint_with(
     let (index, rev_index) = matchjoin::compact_index(&merged);
     let m = index.len();
 
-    // Stage 1 (parallel): CSR build — one unit per edge, or per
-    // (edge, chunk) under chunked granularity.
-    let csrs: Vec<EdgeCsr> = match granularity {
-        ParGranularity::PerEdge => par_map(ne, threads, |ei| {
-            matchjoin::build_edge_csr(&merged[ei], &index, m)
-        })
-        .map_err(JoinError::from)?,
-        ParGranularity::Chunked { chunk_pairs } => {
-            chunked_csrs(&merged, &index, m, threads, chunk_pairs)?
-        }
-    };
+    // Stage 1 (parallel): CSR build, one unit per edge.
+    let csrs: Vec<EdgeCsr> = par_map(ne, threads, |ei| {
+        matchjoin::build_edge_csr(&merged[ei], &index, m)
+    })
+    .map_err(JoinError::from)?;
     stats.edge_visits += ne as u64;
 
     // Stage 2 (sequential, cheap): candidate sets over pattern nodes.
@@ -247,21 +200,14 @@ pub(crate) fn par_ranked_fixpoint_with(
         return Ok(None);
     };
 
-    // Stage 3 (parallel): per-edge support counters + zero-support seeds —
-    // per edge, or over ranges of the dense node domain under chunked
-    // granularity (deterministic merge: concatenation in range order).
+    // Stage 3 (parallel): per-edge support counters + zero-support seeds.
     let edge_src: Vec<(PatternNodeId, PatternNodeId)> =
         (0..ne).map(|ei| q.edge(PatternEdgeId(ei as u32))).collect();
-    let per_edge: Vec<(Vec<u32>, Vec<u32>)> = match granularity {
-        ParGranularity::PerEdge => par_map(ne, threads, |ei| {
-            let (u, t) = edge_src[ei];
-            matchjoin::edge_support(&csrs[ei], &cand[u.index()], &cand[t.index()], m)
-        })
-        .map_err(JoinError::from)?,
-        ParGranularity::Chunked { chunk_pairs } => {
-            ranged_support(&csrs, &cand, &edge_src, m, threads, chunk_pairs)?
-        }
-    };
+    let per_edge: Vec<(Vec<u32>, Vec<u32>)> = par_map(ne, threads, |ei| {
+        let (u, t) = edge_src[ei];
+        matchjoin::edge_support(&csrs[ei], &cand[u.index()], &cand[t.index()], m)
+    })
+    .map_err(JoinError::from)?;
     stats.edge_visits += ne as u64;
     let mut support: Vec<Vec<u32>> = Vec::with_capacity(ne);
     let mut seeds: Vec<(PatternNodeId, Vec<u32>)> = Vec::with_capacity(ne);
@@ -280,9 +226,9 @@ pub(crate) fn par_ranked_fixpoint_with(
 /// fixed either way, so the output is identical.
 const PAR_WAVE_MIN: usize = 256;
 
-/// Stage 4 of the chunked fixpoint, parallelized in *rank waves* — the last
-/// stage that used to run fully sequentially, a ceiling when the union
-/// merge leaves heavy pruning.
+/// Stage 4 of every parallel plan: the drain, parallelized in *rank waves*
+/// so that heavy pruning (e.g. after the union merge) does not serialize
+/// on the last stage.
 ///
 /// Each iteration drains the entire lowest non-empty rank bucket as one
 /// wave:
@@ -307,9 +253,9 @@ const PAR_WAVE_MIN: usize = 256;
 /// answer) are independent of removal order. Wave-mates removed up front
 /// fail the `cand.contains` guard exactly where the sequential drain's
 /// `scheduled` guard would have skipped them. Determinism across thread
-/// counts and chunk sizes holds because wave boundaries are functions of
-/// bucket contents only and the apply phase runs in fixed wave order
-/// (`tests/engine.rs` sweeps both).
+/// counts holds because wave boundaries are functions of bucket contents
+/// only and the apply phase runs in fixed wave order (`tests/engine.rs`
+/// sweeps thread counts).
 #[allow(clippy::too_many_arguments)] // mirrors drain_and_extract + threads
 pub(crate) fn par_drain_and_extract(
     q: &Pattern,
@@ -415,394 +361,6 @@ pub(crate) fn par_drain_and_extract(
     Ok(Some(filtered))
 }
 
-/// How many work units per edge the chunked build will produce at most,
-/// as a multiple of the worker count. Bounds the stitch's memory and time
-/// (both O(units × m)) against absurd pinned chunk sizes: every per-unit
-/// structure costs O(m), so unit count — not chunk size — is what must
-/// stay proportional to the machine.
-const MAX_UNITS_PER_EDGE_FACTOR: usize = 8;
-
-/// The fixed *(edge, chunk)* work-unit list for a merged set. Chunk
-/// boundaries are pure functions of each set's length, `chunk_pairs`, and
-/// `threads` — never of timing. The requested chunk size is floored so no
-/// edge produces more than `threads × MAX_UNITS_PER_EDGE_FACTOR` units: a
-/// pinned `--chunk-pairs 1` over a huge set must not allocate
-/// O(pairs × m) of per-chunk counters (each unit carries dense O(m)
-/// state), and unit counts beyond a small multiple of the worker count
-/// add stitch work without adding parallelism. An empty set still gets
-/// one (empty) unit so every edge produces a CSR.
-fn chunk_units<S: Deref<Target = [(NodeId, NodeId)]>>(
-    merged: &[S],
-    chunk_pairs: usize,
-    threads: usize,
-) -> Vec<(usize, usize, usize)> {
-    let max_units = threads.max(1) * MAX_UNITS_PER_EDGE_FACTOR;
-    let mut units = Vec::new();
-    for (ei, set) in merged.iter().enumerate() {
-        if set.is_empty() {
-            units.push((ei, 0, 0));
-            continue;
-        }
-        let chunk = chunk_pairs.max(1).max(set.len().div_ceil(max_units));
-        let mut start = 0;
-        while start < set.len() {
-            let end = (start + chunk).min(set.len());
-            units.push((ei, start, end));
-            start = end;
-        }
-    }
-    units
-}
-
-/// Converts a unit-indexed [`ParError`] into a [`JoinError`] carrying the
-/// *edge* index of the failing unit (callers report pattern edges, not
-/// internal chunk numbers).
-fn unit_error(e: ParError, units: &[(usize, usize, usize)]) -> JoinError {
-    match e {
-        ParError::Panicked(i) => JoinError::WorkerPanicked(units[i].0),
-        ParError::Lost => JoinError::WorkerLost,
-    }
-}
-
-/// One chunk's contribution to an edge's CSR, computed independently in
-/// pass 1 of the two-pass chunked build.
-struct CsrChunk {
-    /// Compacted `(src, tgt)` pairs, in input (merge) order.
-    pairs: Vec<(u32, u32)>,
-    /// Per-source pair counts over the dense domain.
-    fcnt: Vec<u32>,
-    /// Per-target pair counts over the dense domain.
-    rcnt: Vec<u32>,
-    /// Dense ids occurring as sources in this chunk.
-    srcs: BitSet,
-    /// Dense ids occurring as targets in this chunk.
-    tgts: BitSet,
-}
-
-/// Stage 1 under chunked granularity: builds every edge's [`EdgeCsr`] from
-/// *(edge, chunk)* work units in three steps —
-///
-/// 1. **per-chunk counts** (parallel): each unit compacts its pair slice
-///    through the shared dense index and counts per-source/per-target
-///    occurrences;
-/// 2. **sequential prefix stitch**: per edge, chunk counts sum into the
-///    CSR offset arrays and each chunk receives its *base* cursor — the
-///    offsets advanced past all earlier chunks' pairs — in fixed chunk
-///    order;
-/// 3. **parallel scatter**: each unit writes its payloads at the slots its
-///    base dictates. Slots are disjoint by construction (every (source,
-///    occurrence) pair maps to exactly one unit), so plain relaxed atomic
-///    stores suffice and the stored values are independent of scheduling.
-///
-/// The result is field-for-field identical to
-/// [`matchjoin::build_edge_csr`] run per edge: chunk concatenation in chunk
-/// order reproduces the input order everywhere.
-fn chunked_csrs<S: Deref<Target = [(NodeId, NodeId)]> + Sync>(
-    merged: &[S],
-    index: &HashMap<NodeId, u32>,
-    m: usize,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<Vec<EdgeCsr>, JoinError> {
-    let ne = merged.len();
-    let units = chunk_units(merged, chunk_pairs, threads);
-
-    // Pass 1 (parallel): per-chunk compaction + counts.
-    let chunks: Vec<CsrChunk> = par_map(units.len(), threads, |i| {
-        let (ei, start, end) = units[i];
-        let slice = &merged[ei][start..end];
-        let mut pairs = Vec::with_capacity(slice.len());
-        let mut fcnt = vec![0u32; m];
-        let mut rcnt = vec![0u32; m];
-        let mut srcs = BitSet::new(m);
-        let mut tgts = BitSet::new(m);
-        for &(s, t) in slice {
-            let (cs, ct) = (index[&s], index[&t]);
-            pairs.push((cs, ct));
-            fcnt[cs as usize] += 1;
-            rcnt[ct as usize] += 1;
-            srcs.insert(cs as usize);
-            tgts.insert(ct as usize);
-        }
-        CsrChunk {
-            pairs,
-            fcnt,
-            rcnt,
-            srcs,
-            tgts,
-        }
-    })
-    .map_err(|e| unit_error(e, &units))?;
-
-    // Sequential prefix stitch, per edge in chunk order: offsets + per-unit
-    // base cursors. `units` is edge-major, so a single pass groups them.
-    let mut fo: Vec<Vec<u32>> = (0..ne).map(|_| vec![0u32; m + 1]).collect();
-    let mut ro: Vec<Vec<u32>> = (0..ne).map(|_| vec![0u32; m + 1]).collect();
-    let mut srcs: Vec<BitSet> = (0..ne).map(|_| BitSet::new(m)).collect();
-    let mut tgts: Vec<BitSet> = (0..ne).map(|_| BitSet::new(m)).collect();
-    for (ui, &(ei, ..)) in units.iter().enumerate() {
-        let c = &chunks[ui];
-        for v in 0..m {
-            fo[ei][v + 1] += c.fcnt[v];
-            ro[ei][v + 1] += c.rcnt[v];
-        }
-        srcs[ei].union_with(&c.srcs);
-        tgts[ei].union_with(&c.tgts);
-    }
-    for ei in 0..ne {
-        for v in 0..m {
-            fo[ei][v + 1] += fo[ei][v];
-            ro[ei][v + 1] += ro[ei][v];
-        }
-    }
-    // Base cursors: chunk k of edge e starts each source/target slot where
-    // chunks 0..k left off. Running cursors advance in fixed unit order.
-    let mut fbase: Vec<Vec<u32>> = Vec::with_capacity(units.len());
-    let mut rbase: Vec<Vec<u32>> = Vec::with_capacity(units.len());
-    {
-        let mut fcur: Vec<Option<Vec<u32>>> = (0..ne).map(|_| None).collect();
-        let mut rcur: Vec<Option<Vec<u32>>> = (0..ne).map(|_| None).collect();
-        for (ui, &(ei, ..)) in units.iter().enumerate() {
-            let fc = fcur[ei].get_or_insert_with(|| fo[ei][..m].to_vec());
-            fbase.push(fc.clone());
-            for (cur, &cnt) in fc.iter_mut().zip(&chunks[ui].fcnt) {
-                *cur += cnt;
-            }
-            let rc = rcur[ei].get_or_insert_with(|| ro[ei][..m].to_vec());
-            rbase.push(rc.clone());
-            for (cur, &cnt) in rc.iter_mut().zip(&chunks[ui].rcnt) {
-                *cur += cnt;
-            }
-        }
-    }
-
-    // Pass 2 (parallel): scatter payloads into per-edge atomic buffers.
-    // Every slot is written exactly once (disjoint by the stitch), so
-    // relaxed stores are race-free on *values* regardless of interleaving.
-    let sizes: Vec<usize> = (0..ne).map(|ei| merged[ei].len()).collect();
-    let ft: Vec<Vec<AtomicU32>> = sizes
-        .iter()
-        .map(|&n| (0..n).map(|_| AtomicU32::new(0)).collect())
-        .collect();
-    let rs: Vec<Vec<AtomicU32>> = sizes
-        .iter()
-        .map(|&n| (0..n).map(|_| AtomicU32::new(0)).collect())
-        .collect();
-    par_map(units.len(), threads, |ui| {
-        let (ei, ..) = units[ui];
-        let mut fcur = fbase[ui].clone();
-        let mut rcur = rbase[ui].clone();
-        for &(s, t) in &chunks[ui].pairs {
-            ft[ei][fcur[s as usize] as usize].store(t, Ordering::Relaxed);
-            fcur[s as usize] += 1;
-            rs[ei][rcur[t as usize] as usize].store(s, Ordering::Relaxed);
-            rcur[t as usize] += 1;
-        }
-    })
-    .map_err(|e| unit_error(e, &units))?;
-
-    // Assemble: concatenated pairs (chunk order = input order) + unwrapped
-    // payload buffers.
-    let mut per_edge_pairs: Vec<Vec<(u32, u32)>> =
-        sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (ui, &(ei, ..)) in units.iter().enumerate() {
-        per_edge_pairs[ei].extend_from_slice(&chunks[ui].pairs);
-    }
-    let unwrap = |v: Vec<AtomicU32>| {
-        v.into_iter()
-            .map(AtomicU32::into_inner)
-            .collect::<Vec<u32>>()
-    };
-    let mut out = Vec::with_capacity(ne);
-    for (ei, ((((pairs, sb), tb), f), r)) in per_edge_pairs
-        .into_iter()
-        .zip(srcs)
-        .zip(tgts)
-        .zip(ft)
-        .zip(rs)
-        .enumerate()
-    {
-        out.push(EdgeCsr {
-            pairs,
-            srcs: sb,
-            tgts: tb,
-            fwd: (std::mem::take(&mut fo[ei]), unwrap(f)),
-            rev: (std::mem::take(&mut ro[ei]), unwrap(r)),
-        });
-    }
-    Ok(out)
-}
-
-/// One edge's support counters plus its zero-support seed list — the
-/// per-edge output shape of stage 3 ([`matchjoin::edge_support`]).
-type SupportSeeds = (Vec<u32>, Vec<u32>);
-
-/// Stage 3 under chunked granularity: [`matchjoin::edge_support`] computed
-/// over *(edge, node-range)* units. Each unit owns a disjoint slice
-/// `[lo, hi)` of the dense node domain, so the counter merge is pure
-/// concatenation in range order — support vectors and zero-support seed
-/// lists come out identical to the sequential per-edge computation (which
-/// iterates candidates in ascending dense order).
-///
-/// The range size is derived from the **node domain** (`m`), not taken
-/// verbatim from `chunk_pairs`: the planner's chunk size is a pair-count
-/// budget, and on dense extensions (`chunk_pairs ≥ m`) using it as a node
-/// range would collapse this stage back to one unit per edge — exactly
-/// the `|Eq|` ceiling chunked granularity exists to break. The domain is
-/// split so every edge yields ~2 units per worker, capped *below* by
-/// `chunk_pairs` when the caller pinned something finer (the equivalence
-/// tests sweep range 1 through it).
-fn ranged_support(
-    csrs: &[EdgeCsr],
-    cand: &[BitSet],
-    edge_src: &[(PatternNodeId, PatternNodeId)],
-    m: usize,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<Vec<SupportSeeds>, JoinError> {
-    let ne = csrs.len();
-    let domain_split = m.div_ceil(threads.max(1) * 2).max(1);
-    let range = domain_split.min(chunk_pairs.max(1));
-    let mut units: Vec<(usize, usize, usize)> = Vec::new();
-    for ei in 0..ne {
-        if m == 0 {
-            units.push((ei, 0, 0));
-            continue;
-        }
-        let mut lo = 0;
-        while lo < m {
-            let hi = (lo + range).min(m);
-            units.push((ei, lo, hi));
-            lo = hi;
-        }
-    }
-
-    let parts: Vec<SupportSeeds> = par_map(units.len(), threads, |ui| {
-        let (ei, lo, hi) = units[ui];
-        let (u, t) = edge_src[ei];
-        let (cand_u, cand_t) = (&cand[u.index()], &cand[t.index()]);
-        let (fo, ft) = &csrs[ei].fwd;
-        let mut sup = vec![0u32; hi - lo];
-        let mut seeds = Vec::new();
-        for v in lo..hi {
-            if !cand_u.contains(v) {
-                continue;
-            }
-            let (a, b) = (fo[v] as usize, fo[v + 1] as usize);
-            let cnt = ft[a..b]
-                .iter()
-                .filter(|&&t2| cand_t.contains(t2 as usize))
-                .count() as u32;
-            sup[v - lo] = cnt;
-            if cnt == 0 {
-                seeds.push(v as u32);
-            }
-        }
-        (sup, seeds)
-    })
-    .map_err(|e| unit_error(e, &units))?;
-
-    let mut out: Vec<SupportSeeds> = (0..ne).map(|_| (vec![0u32; m], Vec::new())).collect();
-    for (ui, &(ei, lo, hi)) in units.iter().enumerate() {
-        let (sup, seeds) = &parts[ui];
-        out[ei].0[lo..hi].copy_from_slice(sup);
-        out[ei].1.extend_from_slice(seeds);
-    }
-    Ok(out)
-}
-
-/// Chunk-parallel sort + dedup: splits `set` into fixed index-aligned
-/// chunks, sorts each across the workers, then k-way-merges the sorted runs
-/// sequentially with dedup. Output equals `set.sort_unstable(); set.dedup()`
-/// — a fully sorted, duplicate-free vector is canonical, so the chunk
-/// decomposition is invisible in the result.
-///
-/// The requested chunk size is floored so at most `threads × 4` runs are
-/// produced: the merge scans every run's cursor per emitted element, so
-/// run count — not chunk size — is what the sequential phase pays for (a
-/// fixed small chunk over a 10M-pair union would otherwise create
-/// thousands of runs and make the merge quadratic-ish, slower than the
-/// sequential sort it replaces).
-pub(crate) fn par_sort_dedup(
-    set: Vec<(NodeId, NodeId)>,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<Vec<(NodeId, NodeId)>, ParError> {
-    let chunk = chunk_pairs
-        .max(1)
-        .max(set.len().div_ceil(threads.max(1) * 4));
-    if threads <= 1 || set.len() <= chunk {
-        let mut set = set;
-        set.sort_unstable();
-        set.dedup();
-        return Ok(set);
-    }
-    let bounds: Vec<(usize, usize)> = (0..set.len().div_ceil(chunk))
-        .map(|k| (k * chunk, ((k + 1) * chunk).min(set.len())))
-        .collect();
-    let runs: Vec<Vec<(NodeId, NodeId)>> = par_map(bounds.len(), threads, |k| {
-        let (lo, hi) = bounds[k];
-        let mut run = set[lo..hi].to_vec();
-        run.sort_unstable();
-        run
-    })?;
-    // Sequential k-way merge with dedup (≤ 4×threads runs by the floor
-    // above, so the per-element cursor scan stays O(threads)).
-    let mut cursors = vec![0usize; runs.len()];
-    let mut out: Vec<(NodeId, NodeId)> = Vec::with_capacity(set.len());
-    loop {
-        let mut best: Option<(usize, (NodeId, NodeId))> = None;
-        for (k, run) in runs.iter().enumerate() {
-            if let Some(&v) = run.get(cursors[k]) {
-                if best.is_none_or(|(_, b)| v < b) {
-                    best = Some((k, v));
-                }
-            }
-        }
-        let Some((k, v)) = best else { break };
-        cursors[k] += 1;
-        if out.last() != Some(&v) {
-            out.push(v);
-        }
-    }
-    Ok(out)
-}
-
-/// The union merge (`Se := ⋃_{e' ∈ λ(e)} S_e'`) with the per-edge
-/// sort/dedup fanned across workers via [`par_sort_dedup`] — the parallel
-/// counterpart of [`matchjoin::merge_step_union`], byte-identical output.
-pub(crate) fn par_merge_step_union<'a>(
-    q: &Pattern,
-    plan: &ContainmentPlan,
-    ext: &'a ViewExtensions,
-    threads: usize,
-    chunk_pairs: usize,
-) -> Result<MergedSets<'a>, JoinError> {
-    if q.edge_count() == 0 {
-        return Err(JoinError::NoEdges);
-    }
-    if plan.lambda.len() != q.edge_count() {
-        return Err(JoinError::PlanMismatch);
-    }
-    let mut merged = Vec::with_capacity(q.edge_count());
-    for (ei, entries) in plan.lambda.iter().enumerate() {
-        let mut set: Vec<(NodeId, NodeId)> = Vec::new();
-        for r in entries {
-            if r.view >= ext.extensions.len() {
-                return Err(JoinError::ViewOutOfRange(r.view));
-            }
-            set.extend_from_slice(ext.edge_set(r.view, r.edge));
-        }
-        merged.push(Cow::Owned(
-            par_sort_dedup(set, threads, chunk_pairs).map_err(|e| match e {
-                ParError::Panicked(_) => JoinError::WorkerPanicked(ei),
-                ParError::Lost => JoinError::WorkerLost,
-            })?,
-        ));
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,124 +424,5 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(auto_threads(), first);
         }
-    }
-
-    /// A deterministic pseudo-random pair set with repeated sources and
-    /// targets (so CSR rows have real fan-out) in arbitrary order.
-    fn scrambled_pairs(n: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-        let mut x = seed | 1;
-        (0..n)
-            .map(|_| {
-                // xorshift64
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (NodeId((x % 23) as u32), NodeId(((x >> 8) % 17 + 23) as u32))
-            })
-            .collect()
-    }
-
-    /// The chunked two-pass CSR build must be field-for-field identical to
-    /// the sequential per-edge build, for every chunk size — including 1
-    /// (every pair its own unit) and larger than the set (one unit).
-    #[test]
-    fn chunked_csr_build_matches_sequential() {
-        let sets = vec![
-            scrambled_pairs(97, 3),
-            scrambled_pairs(10, 5),
-            Vec::new(),
-            scrambled_pairs(1, 7),
-        ];
-        let (index, _) = matchjoin::compact_index(&sets);
-        let m = index.len();
-        let baseline: Vec<EdgeCsr> = sets
-            .iter()
-            .map(|s| matchjoin::build_edge_csr(s, &index, m))
-            .collect();
-        for chunk in [1usize, 3, 16, 64, 1000] {
-            for threads in [2usize, 4, 8] {
-                let chunked = chunked_csrs(&sets, &index, m, threads, chunk).unwrap();
-                for (ei, (a, b)) in baseline.iter().zip(&chunked).enumerate() {
-                    assert_eq!(a.pairs, b.pairs, "pairs e{ei} chunk={chunk} t={threads}");
-                    assert_eq!(a.srcs, b.srcs, "srcs e{ei}");
-                    assert_eq!(a.tgts, b.tgts, "tgts e{ei}");
-                    assert_eq!(a.fwd, b.fwd, "fwd e{ei} chunk={chunk} t={threads}");
-                    assert_eq!(a.rev, b.rev, "rev e{ei} chunk={chunk} t={threads}");
-                }
-            }
-        }
-    }
-
-    /// Ranged support must concatenate to exactly the sequential counters
-    /// and seed lists (ascending dense order), for every range size.
-    #[test]
-    fn ranged_support_matches_sequential() {
-        use gpv_pattern::PatternBuilder;
-        let mut b = PatternBuilder::new();
-        let u = b.node_labeled("A");
-        let v = b.node_labeled("B");
-        b.edge(u, v);
-        let q = b.build().unwrap();
-        let sets = vec![scrambled_pairs(80, 11)];
-        let (index, _) = matchjoin::compact_index(&sets);
-        let m = index.len();
-        let csrs: Vec<EdgeCsr> = sets
-            .iter()
-            .map(|s| matchjoin::build_edge_csr(s, &index, m))
-            .collect();
-        let cand = matchjoin::build_candidates(&q, &csrs, m).expect("nonempty");
-        let edge_src: Vec<(PatternNodeId, PatternNodeId)> = vec![q.edge(PatternEdgeId(0))];
-        let (u, t) = edge_src[0];
-        let baseline = matchjoin::edge_support(&csrs[0], &cand[u.index()], &cand[t.index()], m);
-        for range in [1usize, 2, 7, 64, 1000] {
-            let ranged = ranged_support(&csrs, &cand, &edge_src, m, 4, range).unwrap();
-            assert_eq!(ranged[0], baseline, "range={range}");
-        }
-    }
-
-    /// Chunk-parallel sort + dedup equals the sequential canonical form for
-    /// every chunk size and thread count (duplicates included).
-    #[test]
-    fn par_sort_dedup_matches_sequential() {
-        let mut set = scrambled_pairs(200, 13);
-        set.extend(scrambled_pairs(50, 13)); // guaranteed duplicates
-        let mut expected = set.clone();
-        expected.sort_unstable();
-        expected.dedup();
-        for chunk in [1usize, 7, 64, 500] {
-            for threads in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    par_sort_dedup(set.clone(), threads, chunk).unwrap(),
-                    expected,
-                    "chunk={chunk} t={threads}"
-                );
-            }
-        }
-    }
-
-    /// A panic inside a chunked work unit surfaces as `WorkerPanicked` with
-    /// the *edge* index (not an internal unit number), and the process
-    /// survives.
-    #[test]
-    fn chunked_worker_panic_reports_edge_index() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        // Edge 1's ids are offset so they share nothing with edge 0 — the
-        // missing node below can only fail units of edge 1.
-        let offset = |v: Vec<(NodeId, NodeId)>| {
-            v.into_iter()
-                .map(|(a, b)| (NodeId(a.0 + 100), NodeId(b.0 + 100)))
-                .collect::<Vec<_>>()
-        };
-        let sets = vec![scrambled_pairs(10, 3), offset(scrambled_pairs(40, 5))];
-        let (index, _) = matchjoin::compact_index(&sets);
-        // An index missing one of edge 1's nodes: its compaction panics on
-        // the lookup.
-        let mut broken = index.clone();
-        broken.remove(&sets[1][37].0);
-        let m = index.len();
-        let err = chunked_csrs(&sets, &broken, m, 4, 8).unwrap_err();
-        std::panic::set_hook(hook);
-        assert_eq!(err, JoinError::WorkerPanicked(1), "edge index, not unit");
     }
 }

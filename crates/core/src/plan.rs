@@ -124,50 +124,16 @@ impl std::fmt::Display for CacheDisposition {
     }
 }
 
-/// How the parallel executor splits the fixpoint stages into work units —
-/// the granularity dimension of [`ExecStrategy::Parallel`].
-///
-/// `PerEdge` fans one work unit per pattern edge, so its speedup ceiling is
-/// `|Eq|`: a 2-edge query over a 10M-pair merge can use at most 2 cores.
-/// `Chunked` splits each edge's pair set into fixed, index-determined
-/// chunks of `chunk_pairs` pairs and fans *(edge, chunk)* units instead,
-/// breaking that ceiling. Chunk boundaries are fixed by index, never by
-/// timing, so both granularities produce bit-identical output (see
-/// [`crate::parallel`] for the determinism argument).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ParGranularity {
-    /// One work unit per pattern edge (speedup ceiling `|Eq|`).
-    PerEdge,
-    /// *(edge, chunk)* work units of at most `chunk_pairs` pairs each —
-    /// intra-edge parallelism for queries with few edges but huge merges.
-    Chunked {
-        /// Pairs per chunk (≥ 1; the planner derives it from the largest
-        /// per-edge pair count and the worker count).
-        chunk_pairs: usize,
-    },
-}
-
-impl std::fmt::Display for ParGranularity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParGranularity::PerEdge => f.write_str("per-edge"),
-            ParGranularity::Chunked { chunk_pairs } => write!(f, "chunked:{chunk_pairs}"),
-        }
-    }
-}
-
 /// How the join executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecStrategy {
     /// Single-threaded, with the given worklist discipline.
     Sequential(JoinStrategy),
-    /// The parallel executor ([`crate::parallel`]) on `threads` workers.
+    /// The parallel executor ([`crate::parallel`]) on `threads` workers,
+    /// one work unit per pattern edge.
     Parallel {
         /// Worker count (`0` = auto-detect at execution time).
         threads: usize,
-        /// How the fixpoint stages split into work units (per pattern edge,
-        /// or chunked within each edge's pair set).
-        granularity: ParGranularity,
     },
 }
 
@@ -175,16 +141,8 @@ impl std::fmt::Display for ExecStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecStrategy::Sequential(s) => write!(f, "sequential({s:?})"),
-            ExecStrategy::Parallel {
-                threads: 0,
-                granularity,
-            } => {
-                write!(f, "parallel(auto, {granularity})")
-            }
-            ExecStrategy::Parallel {
-                threads,
-                granularity,
-            } => write!(f, "parallel({threads}, {granularity})"),
+            ExecStrategy::Parallel { threads: 0 } => f.write_str("parallel(auto)"),
+            ExecStrategy::Parallel { threads } => write!(f, "parallel({threads})"),
         }
     }
 }
@@ -390,29 +348,21 @@ impl std::fmt::Display for QueryPlan {
 mod tests {
     use super::*;
 
-    /// EXPLAIN must name the chosen parallel granularity — the `execute:`
-    /// line is how `gpv plan` / `gpv serve --explain` surface it.
+    /// EXPLAIN names the chosen executor and worker count — the
+    /// `execute:` line is how `gpv plan` / `gpv serve --explain` surface it.
     #[test]
-    fn exec_strategy_display_names_granularity() {
+    fn exec_strategy_display_names_executor() {
         assert_eq!(
             ExecStrategy::Sequential(JoinStrategy::RankedBottomUp).to_string(),
             "sequential(RankedBottomUp)"
         );
         assert_eq!(
-            ExecStrategy::Parallel {
-                threads: 0,
-                granularity: ParGranularity::PerEdge,
-            }
-            .to_string(),
-            "parallel(auto, per-edge)"
+            ExecStrategy::Parallel { threads: 0 }.to_string(),
+            "parallel(auto)"
         );
         assert_eq!(
-            ExecStrategy::Parallel {
-                threads: 8,
-                granularity: ParGranularity::Chunked { chunk_pairs: 65536 },
-            }
-            .to_string(),
-            "parallel(8, chunked:65536)"
+            ExecStrategy::Parallel { threads: 8 }.to_string(),
+            "parallel(8)"
         );
     }
 }

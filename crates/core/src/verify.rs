@@ -30,10 +30,9 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use crate::bview::BoundedViewSet;
-use crate::cost::CostModel;
 use crate::delta::ViewFootprint;
 use crate::engine::BoundedPlan;
-use crate::plan::{EdgeSource, ExecStrategy, ParGranularity, QueryPlan};
+use crate::plan::{EdgeSource, QueryPlan};
 use crate::shard::{decode_shard, ShardContents, ShardError, StoreMeta, SHARD_VERSION};
 use crate::store::StoreSnapshot;
 use crate::view::ViewSet;
@@ -90,10 +89,8 @@ pub enum DiagCode {
     /// GPV003: a view edge pinned as a merge source does not cover the
     /// query edge it is pinned for — the simulation witness fails.
     PlanEdgeNotCovered,
-    /// GPV004: parallel chunk granularity below
-    /// [`CostModel::MIN_CHUNK_PAIRS`] (warning; a forced zero chunk is an
-    /// error — the executor cannot split by zero).
-    PlanChunkGranularity,
+    // GPV004 (`plan-chunk-granularity`) is retired with the chunked
+    // parallel executor; the number is not reused.
     /// GPV005: a views-only (Theorem 1) plan carries a graph-sourced edge.
     PlanViewsOnlyReadsGraph,
     /// GPV006: a plan's view footprint references a view the snapshot
@@ -185,7 +182,6 @@ impl DiagCode {
             DiagCode::PlanEdgeUnsourced => "GPV001",
             DiagCode::PlanViewOutOfRange => "GPV002",
             DiagCode::PlanEdgeNotCovered => "GPV003",
-            DiagCode::PlanChunkGranularity => "GPV004",
             DiagCode::PlanViewsOnlyReadsGraph => "GPV005",
             DiagCode::PlanEpochMisaligned => "GPV006",
             DiagCode::PlanBoundedZeroBound => "GPV007",
@@ -225,7 +221,6 @@ impl DiagCode {
             DiagCode::PlanEdgeUnsourced => "plan-edge-unsourced",
             DiagCode::PlanViewOutOfRange => "plan-view-out-of-range",
             DiagCode::PlanEdgeNotCovered => "plan-edge-not-covered",
-            DiagCode::PlanChunkGranularity => "plan-chunk-granularity",
             DiagCode::PlanViewsOnlyReadsGraph => "plan-views-only-reads-graph",
             DiagCode::PlanEpochMisaligned => "plan-epoch-misaligned",
             DiagCode::PlanBoundedZeroBound => "plan-bounded-zero-bound",
@@ -425,44 +420,11 @@ impl<'a> CoverageWitness<'a> {
     }
 }
 
-/// Checks a parallel execution strategy's chunk granularity: a zero chunk
-/// is an error (the executor cannot split by zero); a chunk below
-/// [`CostModel::MIN_CHUNK_PAIRS`] is a warning (legal — forced configs pin
-/// tiny chunks deliberately — but the per-chunk fixed costs drown the
-/// fanned-out work).
-fn check_exec(exec: &ExecStrategy, out: &mut Vec<Diagnostic>) {
-    if let ExecStrategy::Parallel {
-        granularity: ParGranularity::Chunked { chunk_pairs },
-        ..
-    } = exec
-    {
-        if *chunk_pairs == 0 {
-            out.push(Diagnostic::new(
-                DiagCode::PlanChunkGranularity,
-                Severity::Error,
-                "parallel chunk granularity is 0 pairs; the executor cannot split by zero",
-                "execution strategy",
-            ));
-        } else if *chunk_pairs < CostModel::MIN_CHUNK_PAIRS {
-            out.push(Diagnostic::new(
-                DiagCode::PlanChunkGranularity,
-                Severity::Warning,
-                format!(
-                    "parallel chunk granularity {chunk_pairs} is below MIN_CHUNK_PAIRS \
-                     ({}); per-chunk fixed costs will dominate",
-                    CostModel::MIN_CHUNK_PAIRS
-                ),
-                "execution strategy",
-            ));
-        }
-    }
-}
-
 /// The plan-IR verifier: checks that `plan` is a sound execution of `q`
 /// over `views` — every pattern edge sourced exactly once, every
 /// [`EdgeSource::View`] in range *and* covering its edge (re-derived via
-/// pattern simulation, independently of the planner's own λ), views-only
-/// plans reading no graph edges, and sane parallel granularity.
+/// pattern simulation, independently of the planner's own λ), and
+/// views-only plans reading no graph edges.
 ///
 /// Runs behind `debug_assertions` at plan time
 /// ([`crate::engine::QueryEngine::plan`]) and on every fuzz iteration
@@ -523,7 +485,6 @@ pub fn verify_plan(q: &Pattern, plan: &QueryPlan, views: &ViewSet) -> Vec<Diagno
                 ));
             }
             check_lambda(q, &vp.plan.lambda, true, &mut witness, &mut out);
-            check_exec(&vp.exec, &mut out);
         }
         QueryPlan::Hybrid {
             partial, sources, ..
@@ -587,7 +548,7 @@ fn check_lambda(
 
 /// The bounded-plan verifier: λ shape and view-index ranges against the
 /// bounded view set, coverage via [`crate::bcontainment::bounded_view_match`],
-/// zero-hop bounds, and parallel granularity.
+/// and zero-hop bounds.
 pub fn verify_bounded_plan(
     qb: &BoundedPattern,
     plan: &BoundedPlan,
@@ -675,7 +636,6 @@ pub fn verify_bounded_plan(
             }
         }
     }
-    check_exec(&plan.exec, &mut out);
     out
 }
 
@@ -1138,30 +1098,6 @@ mod tests {
         });
         let diags = verify_plan(&q, &QueryPlan::ViewsOnly(vp), engine.views());
         assert!(diags.iter().any(|d| d.code == DiagCode::PlanViewOutOfRange));
-    }
-
-    #[test]
-    fn zero_chunk_granularity_is_an_error() {
-        let mut out = Vec::new();
-        check_exec(
-            &ExecStrategy::Parallel {
-                threads: 2,
-                granularity: ParGranularity::Chunked { chunk_pairs: 0 },
-            },
-            &mut out,
-        );
-        assert!(has_errors(&out));
-        let mut out = Vec::new();
-        check_exec(
-            &ExecStrategy::Parallel {
-                threads: 2,
-                granularity: ParGranularity::Chunked { chunk_pairs: 8 },
-            },
-            &mut out,
-        );
-        // Tiny-but-nonzero chunks are a warning, not an error: forced fuzz
-        // configs pin them deliberately.
-        assert!(!has_errors(&out) && !out.is_empty());
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! queries of what shape over how many labels, how the serving schedule
 //! repeats them (zipfian), what fraction of the covering view set is
 //! registered, how the store mutates between rounds, and the full engine/
-//! service configuration (selection mode, executor + granularity, threads,
-//! chunk size, cost weights, cache budgets, recalibration cadence). Two
-//! invariants make it a fuzzing substrate:
+//! service configuration (selection mode, executor, threads, cost weights,
+//! cache budgets, recalibration cadence). Two invariants make it a fuzzing
+//! substrate:
 //!
 //! * **One-seed determinism** — [`Scenario::sample`] is a pure function of
 //!   `(master_seed, index)`, and [`Scenario::materialize`] is a pure
@@ -20,11 +20,12 @@
 //!
 //! Config knobs are swept by *cycling* (`index` modulo small co-prime-ish
 //! periods) rather than sampled randomly, so a short run provably covers
-//! the whole configuration matrix: 5 query modes × 3 executor settings ×
-//! 2 weight classes × 4 cache states are all hit within the first
-//! `lcm ≤ 60` iterations (and mostly within the first 5–12). Workload
-//! dimensions (graph source/scale, query shapes, zipf skew, coverage) are
-//! drawn from the seeded RNG for diversity.
+//! the whole configuration matrix: every combination of 5 query modes ×
+//! 2 executor settings × 4 cache states (and with them both weight
+//! classes, which follow the cache state's parity) is hit within the
+//! first 40 iterations, and every single setting within the first 8.
+//! Workload dimensions (graph source/scale, query shapes, zipf skew,
+//! coverage) are drawn from the seeded RNG for diversity.
 
 use crate::datasets::{
     amazon, amazon_predicate_pool, citation, citation_predicate_pool, youtube,
@@ -39,8 +40,8 @@ use gpv_core::differential::{
     PlainOracle,
 };
 use gpv_core::{
-    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, ParGranularity,
-    SelectionMode, ServiceConfig, ViewDef, ViewSet,
+    BoundedViewSet, CostModel, EdgeDelta, EngineConfig, ExecStrategy, JoinStrategy, SelectionMode,
+    ServiceConfig, ViewDef, ViewSet,
 };
 use gpv_graph::{DataGraph, NodeId};
 use gpv_matching::{bmatch_pattern, match_pattern};
@@ -111,8 +112,6 @@ pub enum ExecKnob {
     Sequential,
     /// Parallel, one work unit per pattern edge.
     ParallelPerEdge,
-    /// Parallel, chunked within each edge's pair set.
-    ParallelChunked,
 }
 
 /// Which cost-weight class the engine plans under.
@@ -176,7 +175,10 @@ pub struct Scenario {
     pub exec: ExecKnob,
     /// Worker threads for parallel executors.
     pub threads: usize,
-    /// Pairs per chunk for [`ExecKnob::ParallelChunked`].
+    /// No longer read: the chunked parallel executor it sized is gone.
+    /// The field stays so existing descriptors and struct literals keep
+    /// compiling and parsing; removing it is a follow-up change to the
+    /// benchmark package, which sets it.
     pub chunk_pairs: usize,
     /// Cost-weight class under test.
     pub weights: WeightsKnob,
@@ -225,11 +227,14 @@ impl Scenario {
     /// seeded with `master_seed`.
     ///
     /// Configuration axes cycle with short periods so coverage is
-    /// guaranteed, not probabilistic: query mode has period 5, executor 3,
-    /// weight class 4 (default on even indices, the two calibrated classes
-    /// alternating on odd), cache state 4, threads/chunk sizes 3 and 4
-    /// (offset so they decorrelate from the other axes). Everything else
-    /// is drawn from an RNG seeded with `mix(master_seed, index)`.
+    /// guaranteed, not probabilistic: query mode has period 5, weight class
+    /// 4 (default on even indices, the two calibrated classes alternating
+    /// on odd), cache state 4, threads 3 (offset so it decorrelates from
+    /// the other axes). The executor axis has two settings that switch
+    /// every 4 indices (period 8): switching on `index % 2` would tie the
+    /// executor to the weight class, so the parallel executor would never
+    /// run under the default weights. Everything else is drawn from an RNG
+    /// seeded with `mix(master_seed, index)`.
     pub fn sample(master_seed: u64, index: u64) -> Scenario {
         let seed = mix(master_seed, index);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -241,10 +246,10 @@ impl Scenario {
             3 => QueryMode::Partial,
             _ => QueryMode::Bounded,
         };
-        let exec = match index % 3 {
-            0 => ExecKnob::Sequential,
-            1 => ExecKnob::ParallelPerEdge,
-            _ => ExecKnob::ParallelChunked,
+        let exec = if (index / 4) % 2 == 0 {
+            ExecKnob::Sequential
+        } else {
+            ExecKnob::ParallelPerEdge
         };
         let weights = if index % 2 == 0 {
             WeightsKnob::Default
@@ -255,7 +260,6 @@ impl Scenario {
         };
         let result_cache_bytes = CACHE_STATES[(index % 4) as usize];
         let threads = [2, 4, 8][((index / 3) % 3) as usize];
-        let chunk_pairs = [1, 8, 64, 65_536][((index / 4) % 4) as usize];
         let recalibrate_every = usize::from(index % 7 < 3);
 
         let labels = rng.gen_range(2..=6);
@@ -325,7 +329,7 @@ impl Scenario {
             mode,
             exec,
             threads,
-            chunk_pairs,
+            chunk_pairs: 0,
             weights,
             recalibrate_every,
             result_cache_bytes,
@@ -496,19 +500,12 @@ impl Scenario {
     }
 
     /// The engine configuration the scenario forces (executor, selection
-    /// mode, threads, chunking, weights).
+    /// mode, threads, weights).
     pub fn engine_config(&self) -> EngineConfig {
         let force_exec = Some(match self.exec {
             ExecKnob::Sequential => ExecStrategy::Sequential(JoinStrategy::RankedBottomUp),
             ExecKnob::ParallelPerEdge => ExecStrategy::Parallel {
                 threads: self.threads,
-                granularity: ParGranularity::PerEdge,
-            },
-            ExecKnob::ParallelChunked => ExecStrategy::Parallel {
-                threads: self.threads,
-                granularity: ParGranularity::Chunked {
-                    chunk_pairs: self.chunk_pairs.max(1),
-                },
             },
         });
         let force_selection = match self.mode {
@@ -520,8 +517,6 @@ impl Scenario {
         EngineConfig {
             cost: self.cost_model(),
             threads: self.threads,
-            chunk_pairs: matches!(self.exec, ExecKnob::ParallelChunked)
-                .then_some(self.chunk_pairs.max(1)),
             force_selection,
             force_exec,
         }
@@ -684,13 +679,17 @@ mod tests {
             caches.insert(sc.result_cache_bytes);
         }
         assert_eq!(modes.len(), 5, "all five query modes: {modes:?}");
-        assert_eq!(
-            execs.len(),
-            3,
-            "both executors, both granularities: {execs:?}"
-        );
+        assert_eq!(execs.len(), 2, "sequential and parallel: {execs:?}");
         assert_eq!(weights.len(), 2, "default and calibrated weights");
         assert!(caches.len() >= 2, "≥ 2 cache states: {caches:?}");
+        // The full mode × executor × cache product within 40 iterations.
+        let combos: BTreeSet<String> = (0..40)
+            .map(|i| {
+                let sc = Scenario::sample(42, i);
+                format!("{:?}/{:?}/{}", sc.mode, sc.exec, sc.result_cache_bytes)
+            })
+            .collect();
+        assert_eq!(combos.len(), 5 * 2 * 4, "{combos:?}");
     }
 
     #[test]

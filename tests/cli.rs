@@ -429,48 +429,32 @@ fn plan_explain_matches_golden() {
     );
 }
 
-/// Golden-file contract for the parallel-executor EXPLAIN lines: `--exec
-/// par` pins `parallel(T, per-edge)`, and each `--chunk-pairs` setting pins
-/// `parallel(T, chunked:N)` — the chunk size is part of the plan IR, so a
-/// chunking change that leaks into EXPLAIN must be a deliberate golden
-/// edit. The forced executor changes only the `execute:` line; sources,
-/// cost and weights stay identical to the auto plan.
+/// Golden-file contract for the parallel-executor EXPLAIN line: `--exec
+/// par` pins `parallel(T)`. The forced executor changes only the
+/// `execute:` line; sources, cost and weights stay identical to the auto
+/// plan.
 #[test]
 fn plan_explain_parallel_matches_golden() {
     let g = write_tmp("goldp-g.txt", GRAPH);
     let q = write_tmp("goldp-q.txt", QUERY);
     let v1 = write_tmp("goldp-v1.txt", VIEW1);
     let v2 = write_tmp("goldp-v2.txt", VIEW2);
-    let run = |extra: &[&str]| -> String {
-        let mut cmd = gpv();
-        cmd.args(["plan", "--graph", g.to_str().unwrap()]);
-        cmd.args(["--pattern", q.to_str().unwrap()]);
-        cmd.args(["--view", v1.to_str().unwrap()]);
-        cmd.args(["--view", v2.to_str().unwrap()]);
-        cmd.args(["--exec", "par", "--threads", "8"]);
-        cmd.args(extra);
-        let out = cmd.output().unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap()
-    };
+    let mut cmd = gpv();
+    cmd.args(["plan", "--graph", g.to_str().unwrap()]);
+    cmd.args(["--pattern", q.to_str().unwrap()]);
+    cmd.args(["--view", v1.to_str().unwrap()]);
+    cmd.args(["--view", v2.to_str().unwrap()]);
+    cmd.args(["--exec", "par", "--threads", "8"]);
+    let out = cmd.output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(
-        run(&[]),
+        String::from_utf8(out.stdout).unwrap(),
         include_str!("golden/plan_parallel_per_edge.txt"),
-        "per-edge parallel EXPLAIN drifted; update tests/golden/ deliberately"
-    );
-    assert_eq!(
-        run(&["--chunk-pairs", "64"]),
-        include_str!("golden/plan_parallel_chunked_64.txt"),
-        "chunked:64 EXPLAIN drifted; update tests/golden/ deliberately"
-    );
-    assert_eq!(
-        run(&["--chunk-pairs", "65536"]),
-        include_str!("golden/plan_parallel_chunked_65536.txt"),
-        "chunked:65536 EXPLAIN drifted; update tests/golden/ deliberately"
+        "parallel EXPLAIN drifted; update tests/golden/ deliberately"
     );
 }
 
@@ -875,18 +859,27 @@ fn fuzz_injected_divergence_reproduces_from_printed_json() {
     );
 }
 
-/// Boundary flag values are structured errors, not silent clamps or
-/// panics: `--threads 0` and `--chunk-pairs 0` each print one clean
-/// `gpv:` line on stderr and exit nonzero.
+/// Bad executor flags are structured errors, not silent clamps or panics:
+/// `answer --threads 0` and the removed `plan --chunk-pairs 64` each print
+/// one clean `gpv:` line on stderr and exit nonzero.
 #[test]
 fn zero_thread_and_chunk_flags_error_cleanly() {
     let g = write_tmp("zero-g.txt", GRAPH);
     let q = write_tmp("zero-q.txt", QUERY);
     let v1 = write_tmp("zero-v1.txt", VIEW1);
-    for flag in ["--threads", "--chunk-pairs"] {
+    let cases = [
+        ("answer", "--threads", "0", "--threads must be at least 1"),
+        (
+            "plan",
+            "--chunk-pairs",
+            "64",
+            "unknown flag `--chunk-pairs`",
+        ),
+    ];
+    for (cmd, flag, value, expected) in cases {
         let out = gpv()
             .args([
-                "answer",
+                cmd,
                 "--graph",
                 g.to_str().unwrap(),
                 "--pattern",
@@ -894,16 +887,13 @@ fn zero_thread_and_chunk_flags_error_cleanly() {
                 "--view",
                 v1.to_str().unwrap(),
                 flag,
-                "0",
+                value,
             ])
             .output()
             .unwrap();
-        assert!(!out.status.success(), "{flag} 0 must fail");
+        assert!(!out.status.success(), "{flag} {value} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("{flag} must be at least 1")),
-            "{flag}: {err}"
-        );
+        assert!(err.contains(expected), "{flag}: {err}");
         assert!(!err.contains("panicked"), "{flag}: {err}");
         assert_eq!(err.lines().count(), 1, "{flag}: one clean line, got {err}");
     }
@@ -913,7 +903,18 @@ fn zero_thread_and_chunk_flags_error_cleanly() {
 /// `gpv:` line, nonzero exit, no panic or backtrace.
 #[test]
 fn fuzz_repro_bad_descriptor_errors_cleanly() {
-    for bad in ["not json at all", "{\"seed\": \"wrong-type\"}", "{", ""] {
+    // A valid descriptor naming the removed `ParallelChunked` executor knob.
+    let chunked = graph_views::generator::Scenario::sample(7, 4)
+        .to_json_line()
+        .replace("\"ParallelPerEdge\"", "\"ParallelChunked\"");
+    assert!(chunked.contains("ParallelChunked"), "{chunked}");
+    for bad in [
+        "not json at all",
+        "{\"seed\": \"wrong-type\"}",
+        "{",
+        "",
+        chunked.as_str(),
+    ] {
         let out = gpv().args(["fuzz", "--repro", bad]).output().unwrap();
         assert!(!out.status.success(), "--repro {bad:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);

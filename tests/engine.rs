@@ -9,13 +9,13 @@ use gpv_generator::{
     PatternShape,
 };
 use graph_views::prelude::*;
-use graph_views::views::{EdgeSource, ExecStrategy, ParGranularity, QueryPlan};
+use graph_views::views::{EdgeSource, ExecStrategy, QueryPlan};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
 
-/// Thread counts the chunked-equivalence sweep exercises. CI forces the
-/// chunked code paths on 1-core runners by extending the matrix through
+/// Thread counts the parallel-equivalence sweep exercises. CI forces the
+/// threaded code paths on 1-core runners by extending the matrix through
 /// `GPV_TEST_THREADS` (the counts are explicit worker counts, not
 /// `available_parallelism`, so they fan out real threads anywhere).
 fn sweep_threads() -> Vec<usize> {
@@ -109,25 +109,20 @@ proptest! {
         // Forced parallel execution (2 and 4 workers) agrees bit-for-bit.
         for threads in [2usize, 4] {
             let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                force_exec: Some(ExecStrategy::Parallel {
-                    threads,
-                    granularity: ParGranularity::PerEdge,
-                }),
+                force_exec: Some(ExecStrategy::Parallel { threads }),
                 ..EngineConfig::default()
             });
             prop_assert_eq!(&engine.answer_from_views(&q).unwrap(), &direct);
         }
     }
 
-    /// The intra-edge parallelism acceptance property: the chunked-parallel
+    /// The parallel-executor acceptance property: the per-edge parallel
     /// executor is **bit-for-bit identical** to the sequential
-    /// `RankedBottomUp` strategy across threads ∈ {1, 2, 4, 8} × chunk
-    /// sizes — including chunk size 1 (every pair its own unit) and chunk
-    /// sizes larger than any merged set (one unit per edge). Chunk
-    /// boundaries are fixed by index, so neither thread count nor chunk
-    /// size may leak into the answer.
+    /// `RankedBottomUp` strategy across threads ∈ {1, 2, 4, 8} (plus
+    /// `GPV_TEST_THREADS`). Work units are fixed by index, so the thread
+    /// count may not leak into the answer.
     #[test]
-    fn chunked_parallel_is_bit_identical_to_ranked_bottom_up(
+    fn parallel_is_bit_identical_to_ranked_bottom_up(
         g in arb_graph(),
         q in arb_query(),
         vseed in any::<u64>(),
@@ -139,32 +134,23 @@ proptest! {
         });
         let baseline = sequential.answer_from_views(&q).unwrap();
         prop_assert_eq!(&baseline, &match_pattern(&q, &g));
-        // Chunk sizes: degenerate (1), small odd (3), and far beyond any
-        // merged set in these graphs (1 << 20).
         for threads in sweep_threads() {
-            for chunk_pairs in [1usize, 3, 1 << 20] {
-                let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
-                    force_exec: Some(ExecStrategy::Parallel {
-                        threads,
-                        granularity: ParGranularity::Chunked { chunk_pairs },
-                    }),
-                    ..EngineConfig::default()
-                });
-                prop_assert_eq!(
-                    &engine.answer_from_views(&q).unwrap(),
-                    &baseline,
-                    "threads={} chunk_pairs={}", threads, chunk_pairs
-                );
-            }
+            let engine = QueryEngine::materialize(views.clone(), &g).with_config(EngineConfig {
+                force_exec: Some(ExecStrategy::Parallel { threads }),
+                ..EngineConfig::default()
+            });
+            prop_assert_eq!(
+                &engine.answer_from_views(&q).unwrap(),
+                &baseline,
+                "threads={}", threads
+            );
         }
     }
 
     /// The union-merge ablation path under the parallel strategy:
-    /// `match_join_union_with(Parallel)` chunk-sorts the per-edge unions
-    /// (`par_sort_dedup`) and runs the per-edge parallel fixpoint
-    /// (`JoinStrategy::Parallel` carries no granularity; the chunked
-    /// fixpoint itself is covered by the engine sweep above), and must
-    /// equal the sequential `RankedBottomUp` union join.
+    /// `match_join_union_with(Parallel)` runs the sequential union merge,
+    /// then the parallel fixpoint, and must equal the sequential
+    /// `RankedBottomUp` union join.
     #[test]
     fn parallel_union_join_matches_sequential(
         g in arb_graph(),
